@@ -4,7 +4,7 @@ For one architecture per ``input_kind`` (CNN raw, cCNN channel, dCNN cube —
 override with ``--models``) a tiny model is trained twice on synthetic data:
 
 * **legacy** — the reference per-batch-prepare loop
-  (``TrainingConfig(engine="legacy")``, kept in ``repro.training.legacy``);
+  (``repro.training.legacy.fit_legacy``, called directly);
 * **engine** — the fused pipeline (``repro.training.TrainingEngine``):
   inputs prepared once per fit and gathered into preallocated batch slots,
   fused BatchNorm / conv1d / GAP-dense-cross-entropy autograd nodes, and
@@ -31,7 +31,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
 
 # Allow running straight from a checkout without installing the package.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,6 +44,7 @@ from repro.data.synthetic import make_type1_dataset  # noqa: E402
 from repro.experiments.config import get_scale  # noqa: E402
 from repro.models.base import TrainingConfig  # noqa: E402
 from repro.models.registry import create_model  # noqa: E402
+from repro.training import fit_legacy  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
@@ -54,8 +54,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"
 DEFAULT_MODELS = ("cnn", "ccnn", "dcnn", "resnet", "inceptiontime")
 
 
-def train_once(model_name, dataset, scale, config):
-    """Train a freshly seeded model; returns (history, state_dict, seconds)."""
+def train_once(model_name, dataset, scale, config, legacy):
+    """Train a freshly seeded model through the legacy loop or the engine;
+    returns (history, state_dict, seconds)."""
     model = create_model(model_name, dataset.n_dimensions, dataset.length,
                          dataset.n_classes, rng=np.random.default_rng(0),
                          **scale.model_kwargs(model_name))
@@ -63,7 +64,10 @@ def train_once(model_name, dataset, scale, config):
     gc.disable()
     try:
         start = time.perf_counter()
-        history = model.fit(dataset.X, dataset.y, config=config)
+        if legacy:
+            history = fit_legacy(model, dataset.X, dataset.y, config=config)
+        else:
+            history = model.fit(dataset.X, dataset.y, config=config)
         seconds = time.perf_counter() - start
     finally:
         gc.enable()
@@ -80,9 +84,9 @@ def bench_model(model_name, dataset, scale, args):
 
     # Correctness first: the engine must match the legacy loop bit for bit.
     history_legacy, state_legacy, _ = train_once(
-        model_name, dataset, scale, replace(config, engine="legacy"))
+        model_name, dataset, scale, config, legacy=True)
     history_engine, state_engine, _ = train_once(
-        model_name, dataset, scale, replace(config, engine="fused"))
+        model_name, dataset, scale, config, legacy=False)
     if history_legacy.train_loss != history_engine.train_loss:
         raise SystemExit(f"FAIL [{model_name}]: engine loss curve deviates "
                          "from the legacy loop")
@@ -96,9 +100,9 @@ def bench_model(model_name, dataset, scale, args):
     legacy_times, engine_times = [], []
     for _ in range(args.repeats):
         legacy_times.append(train_once(
-            model_name, dataset, scale, replace(config, engine="legacy"))[2])
+            model_name, dataset, scale, config, legacy=True)[2])
         engine_times.append(train_once(
-            model_name, dataset, scale, replace(config, engine="fused"))[2])
+            model_name, dataset, scale, config, legacy=False)[2])
     legacy_seconds = min(legacy_times)
     engine_seconds = min(engine_times)
     epochs = history_legacy.epochs_run

@@ -3,9 +3,11 @@
 
 The single source of truth for what a knob does is the ``#:`` comment block
 directly above its field in the dataclass source (the Sphinx attribute-doc
-convention).  This script parses those blocks with :mod:`ast`, pairs them with
-the runtime defaults, and renders one markdown section per dataclass.  A field
-without a ``#:`` block is an error — undocumented knobs fail CI.
+convention).  This script reads those blocks through
+:func:`repro.runtime.config_flags.field_docs` (the same parser that writes the
+``python -m repro`` flag help), pairs them with the runtime defaults, and
+renders one markdown section per dataclass.  A field without a ``#:`` block is
+an error — undocumented knobs fail CI.
 
 Usage::
 
@@ -16,30 +18,30 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import ast
 import dataclasses
 import importlib
-import re
+import inspect
 import sys
 from pathlib import Path
 from typing import List, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 OUTPUT = REPO / "docs" / "config.md"
+sys.path.insert(0, str(REPO / "src"))
 
-#: (dataclass name, defining module, source path, section intro) in render order.
-CONFIGS: List[Tuple[str, str, str, str]] = [
+from repro.runtime.config_flags import field_docs  # noqa: E402
+
+#: (defining module, dataclass name, section intro) in render order.
+CONFIGS: List[Tuple[str, str, str]] = [
     (
-        "ServeConfig",
         "repro.serve.service",
-        "src/repro/serve/service.py",
+        "ServeConfig",
         "Knobs of one `ExplanationService` instance (`repro.serve`). "
         "Construct it directly or through the `python -m repro serve` CLI flags.",
     ),
     (
-        "ObsConfig",
         "repro.obs.config",
-        "src/repro/obs/config.py",
+        "ObsConfig",
         "Observability knobs (`repro.obs`), embedded as `ServeConfig.obs` and "
         "mirrored by the `--trace-sample-rate` CLI flag. Counters, timers and "
         "latency histograms are always on; this config only controls the "
@@ -47,35 +49,31 @@ CONFIGS: List[Tuple[str, str, str, str]] = [
         "[observability.md](observability.md).",
     ),
     (
-        "RemoteStoreConfig",
         "repro.dist.client",
-        "src/repro/dist/client.py",
+        "RemoteStoreConfig",
         "Connection policy of one `RemoteByteStore` client (`repro.dist`) — "
         "the shared remote cache tier behind `--remote-store HOST:PORT`. "
         "Every timeout/retry knob is bounded so a dead server degrades the "
         "caller to its local tiers instead of hanging it.",
     ),
     (
-        "FleetConfig",
         "repro.dist.coordinator",
-        "src/repro/dist/coordinator.py",
+        "FleetConfig",
         "Coordinator knobs of one `FleetExecutor` (`repro.dist`) — where the "
         "in-process work queue listens and how it treats leases held by "
         "workers that stop heartbeating.",
     ),
     (
-        "StreamConfig",
         "repro.stream.config",
-        "src/repro/stream/config.py",
+        "StreamConfig",
         "Knobs of one streaming `StreamSession` (`repro.stream`) — window hop, "
         "engine (incremental vs the naive parity oracle), explanation mode and "
         "the dCAM permutation draw. Construct it directly or through the "
         "`python -m repro stream` CLI flags. See [streaming.md](streaming.md).",
     ),
     (
-        "TrainingConfig",
         "repro.models.base",
-        "src/repro/models/base.py",
+        "TrainingConfig",
         "Hyper-parameters of one training run (`repro.models`). The paper uses "
         "`learning_rate=1e-5`, `batch_size=16` and up to 1000 epochs with early "
         "stopping; the defaults here are scaled for the CPU-only NumPy substrate "
@@ -96,74 +94,28 @@ the code (`python scripts/gen_config_docs.py --check`).
 """
 
 
-def _strip_rst(text: str) -> str:
-    """Reduce the rst/Sphinx markup used in source comments to plain markdown."""
-    text = re.sub(r":(?:class|meth|func|mod|attr|data):`~?([^`]+)`", r"`\1`", text)
-    return text.replace("``", "`")
-
-
-def _field_docs(source_path: Path, class_name: str) -> List[Tuple[str, str, str]]:
-    """``(name, annotation, doc)`` per field, from ``#:`` blocks above each field."""
-    source = source_path.read_text()
-    lines = source.splitlines()
-    tree = ast.parse(source)
-    klass = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == class_name
-    )
-    fields: List[Tuple[str, str, str]] = []
-    for stmt in klass.body:
-        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
-            continue
-        name = stmt.target.id
-        doc_lines: List[str] = []
-        row = stmt.lineno - 2  # line above the field, 0-indexed
-        while row >= 0 and lines[row].strip().startswith("#:"):
-            doc_lines.append(lines[row].strip()[2:].strip())
-            row -= 1
-        if not doc_lines:
-            raise SystemExit(
-                f"error: {source_path.relative_to(REPO)}:{stmt.lineno}: "
-                f"{class_name}.{name} has no '#:' doc comment"
-            )
-        doc = _strip_rst(" ".join(reversed(doc_lines)))
-        fields.append((name, ast.unparse(stmt.annotation), doc))
-    return fields
-
-
-def _runtime_defaults(module: str, class_name: str) -> dict:
-    sys.path.insert(0, str(REPO / "src"))
-    try:
-        klass = getattr(importlib.import_module(module), class_name)
-    finally:
-        sys.path.pop(0)
-    defaults = {}
-    for field in dataclasses.fields(klass):
-        if field.default is not dataclasses.MISSING:
-            defaults[field.name] = repr(field.default)
-        elif field.default_factory is not dataclasses.MISSING:
-            defaults[field.name] = f"{field.default_factory.__name__}()"
-        else:
-            defaults[field.name] = "required"
-    return defaults
+def _default(field: dataclasses.Field) -> str:
+    if field.default is not dataclasses.MISSING:
+        return repr(field.default)
+    if field.default_factory is not dataclasses.MISSING:
+        return f"{field.default_factory.__name__}()"
+    return "required"
 
 
 def render() -> str:
     parts = [HEADER]
-    for class_name, module, rel_path, intro in CONFIGS:
-        source_path = REPO / rel_path
-        fields = _field_docs(source_path, class_name)
-        defaults = _runtime_defaults(module, class_name)
-        missing = set(defaults) - {name for name, _, _ in fields}
-        if missing:
-            raise SystemExit(
-                f"error: {rel_path}: {class_name} fields missing from AST scan: "
-                f"{sorted(missing)}"
-            )
+    for module, class_name, intro in CONFIGS:
+        klass = getattr(importlib.import_module(module), class_name)
+        rel_path = Path(inspect.getsourcefile(klass)).resolve().relative_to(REPO).as_posix()
+        try:
+            docs = field_docs(klass)
+        except ValueError as error:
+            raise SystemExit(f"error: {error}")
+        defaults = {field.name: _default(field) for field in dataclasses.fields(klass)}
         parts.append(f"\n## `{class_name}` ([{rel_path}]({'../' + rel_path}))\n")
         parts.append(intro + "\n")
-        for name, annotation, doc in fields:
-            default = defaults.get(name, "required")
-            parts.append(f"- **`{name}`** (`{annotation}`, default `{default}`) — {doc}")
+        for name, (annotation, doc) in docs.items():
+            parts.append(f"- **`{name}`** (`{annotation}`, default `{defaults[name]}`) — {doc}")
         parts.append("")
     return "\n".join(parts)
 

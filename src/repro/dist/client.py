@@ -11,7 +11,7 @@ drops writes instead of raising, and backs off for ``down_cooldown_s`` so a
 dead remote costs one connect timeout per cooldown window, not per request.
 
 All remote traffic is counted into a shared
-:class:`~repro.telemetry.Telemetry` registry (``remote_hits`` /
+:class:`~repro.obs.Telemetry` registry (``remote_hits`` /
 ``remote_misses`` / ``remote_puts`` / ``remote_errors`` /
 ``remote_refusals`` / ``remote_down_skips`` plus the ``remote_request``
 timer), which the serving layer's ``/metrics`` endpoint surfaces.
@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..obs.metrics import Telemetry
 from ..obs.tracing import span, trace_wire_header
-from ..telemetry import Telemetry
 from . import protocol
 
 

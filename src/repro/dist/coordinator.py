@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.exposition import spans_to_json
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, Telemetry
 from ..obs.tracing import Span, SpanRing, TraceContext, current
 from ..runtime.spec import WorkUnit, unit_fingerprint
-from ..telemetry import Telemetry
 from .server import WireServer
 
 

@@ -30,9 +30,9 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..obs.exposition import spans_to_json
+from ..obs.metrics import Telemetry
 from ..obs.tracing import Tracer
 from ..runtime.eviction import TieredByteStore
-from ..telemetry import Telemetry
 from . import protocol
 
 #: A request handler: ``(header, payload) -> (response_header, response_payload)``.

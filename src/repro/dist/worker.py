@@ -30,9 +30,9 @@ import time
 import traceback
 from typing import Iterable, Optional
 
+from ..obs.metrics import Telemetry
 from ..obs.tracing import Tracer, activate, span
 from ..runtime.cache import ResultCache
-from ..telemetry import Telemetry
 from .client import RemoteStoreConfig, RemoteUnavailableError, WireClient
 
 

@@ -212,8 +212,7 @@ def figure12_epoch_time(scale, *, model_name: str, n_dimensions: int, length: in
                          dataset.n_classes, rng=rng, **scale.model_kwargs(model_name))
     training = TrainingConfig(epochs=1, batch_size=scale.training.batch_size,
                               learning_rate=scale.training.learning_rate,
-                              patience=10, random_state=seed,
-                              engine=scale.training.engine)
+                              patience=10, random_state=seed)
     start = time.perf_counter()
     model.fit(dataset.X, dataset.y, config=training)
     return time.perf_counter() - start

@@ -14,8 +14,8 @@ Every architecture in :mod:`repro.models` follows the same contract:
 Training follows the paper's protocol (Section 5.2): Adam, cross-entropy,
 mini-batches, early stopping on the validation loss.  :meth:`BaseClassifier.fit`
 is a thin wrapper over :class:`repro.training.TrainingEngine` (the fused
-prepare-once pipeline); ``TrainingConfig(engine="legacy")`` selects the
-reference per-batch-prepare loop, which the engine matches float for float.
+prepare-once pipeline), which matches the reference per-batch-prepare loop
+:func:`repro.training.legacy.fit_legacy` float for float.
 """
 
 from __future__ import annotations
@@ -64,14 +64,10 @@ class TrainingConfig:
     #: Seed for weight init, shuffling and dropout; ``None`` draws from the
     #: global NumPy state (non-reproducible runs).
     random_state: Optional[int] = None
-    #: Which fit implementation runs: "fused" (the prepare-once
-    #: :class:`repro.training.TrainingEngine`) or "legacy" (the reference
-    #: per-batch-prepare loop).  Both produce float-identical results.
-    engine: str = "fused"
     #: Compute precision of the fit: "float64" (the reference, bit-exact
     #: against the legacy loop) or "float32" (the opt-in fast tier — casts the
-    #: model weights and runs every kernel in single precision; requires the
-    #: fused engine and agrees with float64 to documented tolerances only).
+    #: model weights and runs every kernel in single precision; agrees with
+    #: float64 to documented tolerances only).
     precision: str = "float64"
 
 
@@ -266,12 +262,11 @@ class BaseClassifier(Module):
             config: Optional[TrainingConfig] = None) -> TrainingHistory:
         """Train with Adam + cross-entropy and early stopping.
 
-        Thin wrapper over the fused :class:`repro.training.TrainingEngine`
-        (``config.engine == "fused"``, the default) or the reference loop in
-        :func:`repro.training.legacy.fit_legacy` (``"legacy"``).  Both are
-        float-identical; the engine prepares inputs once per fit and runs the
-        fused forward/backward kernels.  The model is left in eval mode with
-        the best weights loaded.
+        Thin wrapper over the fused :class:`repro.training.TrainingEngine`,
+        which is float-identical to the reference loop
+        :func:`repro.training.legacy.fit_legacy`; the engine prepares inputs
+        once per fit and runs the fused forward/backward kernels.  The model
+        is left in eval mode with the best weights loaded.
 
         Parameters
         ----------
@@ -286,16 +281,6 @@ class BaseClassifier(Module):
         if config.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {config.precision!r}; "
                              "expected 'float64' or 'float32'")
-        if config.engine == "legacy":
-            if config.precision != "float64":
-                raise ValueError("precision='float32' requires the fused engine; "
-                                 "the legacy loop is the float64 reference")
-            from ..training.legacy import fit_legacy
-
-            return fit_legacy(self, X, y, validation_data, config)
-        if config.engine != "fused":
-            raise ValueError(f"unknown training engine {config.engine!r}; "
-                             "expected 'fused' or 'legacy'")
         self.astype(np.float32 if config.precision == "float32" else np.float64)
         from ..training.engine import TrainingEngine
 

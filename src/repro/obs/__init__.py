@@ -1,7 +1,6 @@
 """Observability: metrics, latency histograms, request tracing, exposition.
 
-The package grows the original flat ``repro.telemetry`` registry into a real
-observability layer shared by every subsystem:
+The package is the observability layer shared by every subsystem:
 
 * :mod:`repro.obs.metrics` — the thread-safe primitives: monotonic
   :class:`Counter`\\ s, last-value :class:`Gauge`\\ s, cumulative
@@ -29,9 +28,6 @@ observability layer shared by every subsystem:
 Everything here is **out of band**: response bytes, cache keys and fleet
 results are byte-identical with tracing on or off (pinned by tests), and
 ``benchmarks/bench_obs_overhead.py`` gates the hot-path overhead.
-
-``repro.telemetry`` remains as a compatibility shim re-exporting the metric
-primitives, so existing imports keep working unchanged.
 """
 
 from .config import ObsConfig

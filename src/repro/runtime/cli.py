@@ -36,6 +36,7 @@ remote cache tier every store can point at via ``--remote-store host:port``;
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -44,22 +45,37 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from .cache import ResultCache
+from .config_flags import add_config_flags
 from .executor import Executor, executor_label, make_executor
+
+#: ``ServeConfig`` fields exposed as ``repro serve`` flags.
+SERVE_FIELDS = (
+    "max_batch_size",
+    "max_wait_ms",
+    "batch_policy",
+    "max_adaptive_batch_size",
+    "policy_latency_budget_ms",
+    "max_queue_depth",
+    "max_total_depth",
+    "drain_timeout_s",
+    "precision",
+)
+#: ``ObsConfig`` fields exposed as ``repro serve`` flags (nested into ``ServeConfig.obs``).
+OBS_FIELDS = ("trace_sample_rate",)
+#: ``StreamConfig`` fields exposed as ``repro stream`` flags (``--k`` is
+#: hand-written: its default is the artifact's ``default_k``).
+STREAM_FIELDS = ("hop", "seed", "explain", "explain_class")
 
 
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """One CLI-runnable experiment: driver adapter + JSON projection."""
+    """One CLI-runnable experiment: its driver plus the result's JSON and text renderings."""
 
     name: str
     description: str
-    run: Callable[[Any, argparse.Namespace, Executor, Optional[ResultCache]], Any]
-    to_json: Callable[[Any], Any]
-    format: Callable[[Any], str]
-    #: Which of the filter flags (--models/--dimensions/--seeds/--datasets)
-    #: this experiment consumes; others are rejected rather than silently
-    #: ignored.
-    options: frozenset = frozenset()
+    driver: Callable[..., Any]
+    to_json: Callable[[Any], Any] = lambda result: result.as_rows()
+    format: Callable[[Any], str] = lambda result: result.format()
 
 
 def _csv(value: Optional[str]) -> Optional[List[str]]:
@@ -71,6 +87,22 @@ def _csv(value: Optional[str]) -> Optional[List[str]]:
 def _csv_ints(value: Optional[str]) -> Optional[List[int]]:
     items = _csv(value)
     return None if items is None else [int(item) for item in items]
+
+
+#: ``run`` filter flag -> (driver parameter, value parser).  An experiment
+#: takes a filter exactly when its driver has that parameter; the others
+#: reject the flag rather than silently run (and label) the default.
+_FILTERS = {
+    "models": ("models", _csv),
+    "dimensions": ("dimensions", _csv_ints),
+    "seeds": ("seeds", _csv),
+    "datasets": ("dataset_names", _csv),
+}
+
+
+def _supported_filters(driver: Callable[..., Any]) -> List[str]:
+    parameters = inspect.signature(driver).parameters
+    return [flag for flag, (parameter, _) in _FILTERS.items() if parameter in parameters]
 
 
 def _series_json(result) -> Dict[str, Any]:
@@ -137,137 +169,35 @@ def _experiment_table() -> Dict[str, ExperimentEntry]:
         run_table3,
     )
 
-    return {
-        "table2": ExperimentEntry(
-            "table2",
-            "C-acc over (simulated) UCR/UEA datasets",
-            lambda scale, args, ex, cache: run_table2(
-                scale,
-                dataset_names=_csv(args.datasets),
-                models=_csv(args.models),
-                base_seed=args.base_seed,
-                executor=ex,
-                cache=cache,
-            ),
-            lambda result: result.as_rows(),
-            lambda result: result.format(),
-            options=frozenset({"models", "datasets"}),
+    entries = [
+        ExperimentEntry("table2", "C-acc over (simulated) UCR/UEA datasets", run_table2),
+        ExperimentEntry("table3", "C-acc and Dr-acc on the synthetic Type 1 / Type 2 benchmarks", run_table3),
+        ExperimentEntry("figure8", "d-architectures vs counterparts scatter (Table 2 protocol)", run_figure8),
+        ExperimentEntry(
+            "figure9", "C-acc / Dr-acc vs number of dimensions (Table 3 protocol)", run_figure9, _series_json
         ),
-        "table3": ExperimentEntry(
-            "table3",
-            "C-acc and Dr-acc on the synthetic Type 1 / Type 2 benchmarks",
-            lambda scale, args, ex, cache: run_table3(
-                scale,
-                seeds=_csv(args.seeds),
-                dimensions=_csv_ints(args.dimensions),
-                models=_csv(args.models),
-                base_seed=args.base_seed,
-                executor=ex,
-                cache=cache,
-            ),
-            lambda result: result.as_rows(),
-            lambda result: result.format(),
-            options=frozenset({"models", "dimensions", "seeds"}),
+        ExperimentEntry("figure10", "Dr-acc vs number of permutations k", run_figure10, _figure10_json),
+        ExperimentEntry("figure11", "C-acc / Dr-acc / ng-over-k relations per configuration", run_figure11),
+        ExperimentEntry("figure12", "training / dCAM execution-time panels", run_figure12, _figure12_json),
+        ExperimentEntry(
+            "figure13", "surgeon-skill use case (simulated JIGSAWS)", run_figure13, _figure13_json
         ),
-        "figure8": ExperimentEntry(
-            "figure8",
-            "d-architectures vs counterparts scatter (Table 2 protocol)",
-            lambda scale, args, ex, cache: run_figure8(
-                scale, dataset_names=_csv(args.datasets), base_seed=args.base_seed, executor=ex, cache=cache
-            ),
-            lambda result: result.as_rows(),
-            lambda result: result.format(),
-            options=frozenset({"datasets"}),
-        ),
-        "figure9": ExperimentEntry(
-            "figure9",
-            "C-acc / Dr-acc vs number of dimensions (Table 3 protocol)",
-            lambda scale, args, ex, cache: run_figure9(
-                scale,
-                dimensions=_csv_ints(args.dimensions),
-                models=_csv(args.models),
-                base_seed=args.base_seed,
-                executor=ex,
-                cache=cache,
-            ),
-            _series_json,
-            lambda result: result.format(),
-            options=frozenset({"models", "dimensions"}),
-        ),
-        "figure10": ExperimentEntry(
-            "figure10",
-            "Dr-acc vs number of permutations k",
-            lambda scale, args, ex, cache: run_figure10(
-                scale,
-                dimensions=_csv_ints(args.dimensions),
-                models=_csv(args.models),
-                base_seed=args.base_seed,
-                executor=ex,
-                cache=cache,
-            ),
-            _figure10_json,
-            lambda result: result.format(),
-            options=frozenset({"models", "dimensions"}),
-        ),
-        "figure11": ExperimentEntry(
-            "figure11",
-            "C-acc / Dr-acc / ng-over-k relations per configuration",
-            lambda scale, args, ex, cache: run_figure11(
-                scale,
-                models=_csv(args.models),
-                seeds=_csv(args.seeds),
-                dimensions=_csv_ints(args.dimensions),
-                base_seed=args.base_seed,
-                executor=ex,
-                cache=cache,
-            ),
-            lambda result: result.as_rows(),
-            lambda result: result.format(),
-            options=frozenset({"models", "seeds", "dimensions"}),
-        ),
-        "figure12": ExperimentEntry(
-            "figure12",
-            "training / dCAM execution-time panels",
-            lambda scale, args, ex, cache: run_figure12(
-                scale,
-                models=_csv(args.models),
-                dimensions=_csv_ints(args.dimensions),
-                base_seed=args.base_seed,
-                executor=ex,
-                cache=cache,
-            ),
-            _figure12_json,
-            lambda result: result.format(),
-            options=frozenset({"models", "dimensions"}),
-        ),
-        "figure13": ExperimentEntry(
-            "figure13",
-            "surgeon-skill use case (simulated JIGSAWS)",
-            lambda scale, args, ex, cache: run_figure13(
-                scale, base_seed=args.base_seed, executor=ex, cache=cache
-            ),
-            _figure13_json,
-            lambda result: result.format(),
-        ),
-        "ablation-extraction": ExperimentEntry(
+        ExperimentEntry(
             "ablation-extraction",
             "dCAM extraction-rule ablation",
-            lambda scale, args, ex, cache: run_extraction_ablation(
-                scale, base_seed=args.base_seed, executor=ex, cache=cache
-            ),
+            run_extraction_ablation,
             lambda result: result.rows,
             lambda result: result.format("Ablation — dCAM extraction rules"),
         ),
-        "ablation-ng-filter": ExperimentEntry(
+        ExperimentEntry(
             "ablation-ng-filter",
             "dCAM permutation-filter ablation",
-            lambda scale, args, ex, cache: run_ng_filter_ablation(
-                scale, base_seed=args.base_seed, executor=ex, cache=cache
-            ),
+            run_ng_filter_ablation,
             lambda result: result.rows,
             lambda result: result.format("Ablation — ng/k permutation filter"),
         ),
-    }
+    ]
+    return {entry.name: entry for entry in entries}
 
 
 def _build_scale(args: argparse.Namespace):
@@ -282,8 +212,6 @@ def _build_scale(args: argparse.Namespace):
     training_overrides = {}
     if args.epochs is not None:
         training_overrides["epochs"] = args.epochs
-    if args.engine is not None:
-        training_overrides["engine"] = args.engine
     if args.precision is not None:
         training_overrides["precision"] = args.precision
     if training_overrides:
@@ -365,18 +293,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, metavar="K", help="override the scale's dCAM permutation count")
     parser.add_argument("--epochs", type=int, metavar="N", help="override the scale's training epochs")
     parser.add_argument(
-        "--engine",
-        choices=["fused", "legacy"],
-        help="training engine: the fused prepare-once pipeline "
-        "(default) or the reference legacy loop "
-        "(float-identical, for cross-checking)",
-    )
-    parser.add_argument(
         "--precision",
         choices=["float64", "float32"],
         help="training compute precision: float64 (the "
         "bit-exact reference, default) or float32 (the "
-        "opt-in fast tier; requires the fused engine)",
+        "opt-in fast tier)",
     )
     parser.add_argument(
         "--progress",
@@ -393,6 +314,13 @@ def _remote_store(address: Optional[str]):
     from ..dist import RemoteByteStore
 
     return RemoteByteStore(address)
+
+
+def _result_cache(args: argparse.Namespace) -> Optional[ResultCache]:
+    """The runtime result cache behind ``--cache-dir`` / ``--remote-store`` (or None)."""
+    if not (args.cache_dir or args.remote_store):
+        return None
+    return ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
 
 
 def _make_run_executor(args: argparse.Namespace) -> Executor:
@@ -413,7 +341,7 @@ def _make_run_executor(args: argparse.Namespace) -> Executor:
     return make_executor(args.workers)
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     entries = _experiment_table()
     width = max(len(name) for name in entries)
     print("Available experiments (python -m repro run <name> [options]):")
@@ -422,7 +350,7 @@ def _command_list() -> int:
     return 0
 
 
-def _command_run(args: argparse.Namespace) -> int:
+def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     entries = _experiment_table()
     if args.experiment not in entries:
         print(
@@ -431,28 +359,25 @@ def _command_run(args: argparse.Namespace) -> int:
         )
         return 2
     entry = entries[args.experiment]
-    # Reject filter flags this experiment does not consume — silently
-    # ignoring them would run (and label) the default configuration.
+    supported = _supported_filters(entry.driver)
     unsupported = [
-        f"--{name}"
-        for name in ("models", "dimensions", "seeds", "datasets")
-        if getattr(args, name) is not None and name not in entry.options
+        f"--{flag}" for flag in _FILTERS if getattr(args, flag) is not None and flag not in supported
     ]
     if unsupported:
-        supported = ", ".join(f"--{name}" for name in sorted(entry.options)) or "none"
+        listed = ", ".join(f"--{flag}" for flag in sorted(supported)) or "none"
         print(
             f"error: {entry.name} does not support {', '.join(unsupported)} "
-            f"(supported filter flags: {supported})",
+            f"(supported filter flags: {listed})",
             file=sys.stderr,
         )
         return 2
+    filters = {_FILTERS[flag][0]: _FILTERS[flag][1](getattr(args, flag)) for flag in supported}
     scale = _build_scale(args)
     executor = _make_run_executor(args)
-    cache = (
-        ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
-        if args.cache_dir or args.remote_store
-        else None
-    )
+    cache = _result_cache(args)
+
+    def run():
+        return entry.driver(scale, base_seed=args.base_seed, executor=executor, cache=cache, **filters)
 
     print(
         f"[repro] running {entry.name} at scale={scale.name} "
@@ -464,7 +389,7 @@ def _command_run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         if args.progress:
-            from ..telemetry import Telemetry
+            from ..obs import Telemetry
             from .api import progress_hooks
 
             telemetry = Telemetry()
@@ -473,11 +398,11 @@ def _command_run(args: argparse.Namespace) -> int:
                 print(f"[repro] unit {index + 1}/{total} {unit.describe()} [{source}]", file=sys.stderr)
 
             with progress_hooks(telemetry, on_unit):
-                result = entry.run(scale, args, executor, cache)
+                result = run()
             counters = ", ".join(f"{name}={value}" for name, value in sorted(telemetry.snapshot().items()))
             print(f"[repro] telemetry: {counters}", file=sys.stderr)
         else:
-            result = entry.run(scale, args, executor, cache)
+            result = run()
     finally:
         close = getattr(executor, "close", None)
         if close is not None:
@@ -558,7 +483,7 @@ def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _command_export_model(args: argparse.Namespace) -> int:
+def _command_export_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from ..experiments import get_scale
     from ..models.registry import available_models, create_model
     from ..serve.engine import probe_batch_parity
@@ -585,11 +510,7 @@ def _command_export_model(args: argparse.Namespace) -> int:
         config_seed=args.base_seed,
     )
     spec = ExperimentSpec(name="export-model", scale=scale, units=(unit,))
-    cache = (
-        ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
-        if args.cache_dir or args.remote_store
-        else None
-    )
+    cache = _result_cache(args)
 
     print(
         f"[repro] training {args.model} at scale={scale.name} "
@@ -644,68 +565,15 @@ def _command_export_model(args: argparse.Namespace) -> int:
 
 
 def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    from ..obs import ObsConfig
+    from ..serve.service import ServeConfig
+
     parser.add_argument(
         "--store", required=True, metavar="DIR", help="model artifact store directory (see export-model)"
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
     parser.add_argument(
         "--port", type=int, default=8080, help="bind port; 0 picks an ephemeral port (default: 8080)"
-    )
-    parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help="micro-batcher flush threshold; 1 disables "
-        "coalescing; the adaptive policy starts here "
-        "(default: 8)",
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="max milliseconds a queued request waits for companions (default: 2)",
-    )
-    parser.add_argument(
-        "--policy",
-        default="adaptive",
-        choices=["static", "adaptive"],
-        help="batching policy: fixed flush bounds, or "
-        "feedback-driven bounds adapted to observed "
-        "queue depth / flush latency (default: adaptive)",
-    )
-    parser.add_argument(
-        "--max-adaptive-batch-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="hard upper bound of the adaptive policy's flush size (default: 64)",
-    )
-    parser.add_argument(
-        "--latency-budget-ms",
-        type=float,
-        default=250.0,
-        metavar="MS",
-        help="adaptive policy's per-flush latency budget: "
-        "sustained flushes above it shrink the batch "
-        "(default: 250)",
-    )
-    parser.add_argument(
-        "--max-queue-depth",
-        type=int,
-        default=512,
-        metavar="N",
-        help="per-(model, kind) in-flight bound; requests "
-        "over it are shed with HTTP 429 + Retry-After; "
-        "0 disables shedding (default: 512)",
-    )
-    parser.add_argument(
-        "--drain-timeout-s",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="graceful-shutdown drain bound: queued requests unserved after this fail fast (default: 30)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", help="persist the explanation cache here (memory-only otherwise)"
@@ -724,44 +592,23 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="LRU bound of the on-disk cache tier (default: unbounded)",
     )
     parser.add_argument(
-        "--precision",
-        default="float64",
-        choices=["float64", "float32"],
-        help="serving compute precision: float64 (bit-exact "
-        "reference, default) or float32 (opt-in fast tier; "
-        "responses cached under precision-qualified keys)",
-    )
-    parser.add_argument(
-        "--max-total-depth",
-        type=int,
-        metavar="N",
-        help="global in-flight bound across all (model, kind) groups; "
-        "explains shed at 75%% of it, classifies at 100%% "
-        "(default: disabled)",
-    )
-    parser.add_argument(
         "--remote-store",
         metavar="HOST:PORT",
         help="shared remote byte store backing the artifact store and "
         "the explanation cache: artifacts exported on other hosts "
         "become servable here, and cache entries are fleet-shared",
     )
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="fraction of requests traced end-to-end (0..1); sampled "
-        "spans are exported at /trace and `repro trace-dump --url` "
-        "(default: 0, tracing off)",
-    )
+    # The CLI serves with the adaptive batch policy; the library default
+    # stays the static reference policy.
+    serve = add_config_flags(parser, ServeConfig(batch_policy="adaptive"), SERVE_FIELDS)
+    obs = add_config_flags(parser, ObsConfig(), OBS_FIELDS)
+    parser.set_defaults(make_config=lambda args: serve(args, obs=obs(args)))
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    from ..obs import ObsConfig
+def _command_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from ..serve.cache import ExplanationCache
     from ..serve.http import run_server
-    from ..serve.service import ExplanationService, ServeConfig
+    from ..serve.service import ExplanationService
     from ..serve.store import ModelArtifactStore
 
     store = ModelArtifactStore(args.store, remote=_remote_store(args.remote_store))
@@ -779,19 +626,11 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_disk_bytes=None if args.cache_disk_mb is None else int(args.cache_disk_mb * 1024 * 1024),
         remote=_remote_store(args.remote_store),
     )
-    config = ServeConfig(
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        batch_policy=args.policy,
-        max_adaptive_batch_size=args.max_adaptive_batch_size,
-        policy_latency_budget_ms=args.latency_budget_ms,
-        max_queue_depth=args.max_queue_depth or None,
-        max_total_depth=args.max_total_depth,
-        drain_timeout_s=args.drain_timeout_s,
-        precision=args.precision,
-        obs=ObsConfig(trace_sample_rate=args.trace_sample_rate),
-    )
-    service = ExplanationService(store, cache=cache, config=config)
+    try:
+        service = ExplanationService(store, cache=cache, config=args.make_config(args))
+    except ValueError as error:
+        parser.error(str(error))
+    config = service.config
     print(
         f"[repro] serving {len(names)} model(s) from {args.store}: "
         f"{', '.join(names)} "
@@ -800,16 +639,13 @@ def _command_serve(args: argparse.Namespace) -> int:
         + (f" [remote store {args.remote_store}]" if args.remote_store else ""),
         file=sys.stderr,
     )
+    rate = config.obs.trace_sample_rate
 
     def announce(host, port):
         print(
             f"[repro] listening on http://{host}:{port} "
             f"(/models /classify /explain /healthz /metrics /trace; Ctrl-C stops)"
-            + (
-                f" [tracing {args.trace_sample_rate:g} sampled]"
-                if args.trace_sample_rate
-                else ""
-            ),
+            + (f" [tracing {rate:g} sampled]" if rate else ""),
             file=sys.stderr,
         )
 
@@ -818,6 +654,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
+    from ..stream import StreamConfig
+
     parser.add_argument(
         "--store", required=True, metavar="DIR", help="model artifact store directory (see export-model)"
     )
@@ -827,36 +665,12 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
         help="artifact name to stream against (default: the store's only artifact)",
     )
     parser.add_argument(
-        "--engine",
-        default="incremental",
-        choices=["incremental", "naive"],
-        help="incremental carries window/cube/feature state across hops; "
-        "naive recomputes every window (the parity oracle; default: incremental)",
-    )
-    parser.add_argument(
-        "--hop", type=int, default=1, metavar="N", help="emit one result every N new samples (default: 1)"
-    )
-    parser.add_argument(
         "--k",
         type=int,
         metavar="K",
         help="dCAM permutations per window (default: the artifact's default_k, else 20)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="dCAM permutation seed, fixed per session (default: 0)"
-    )
-    parser.add_argument(
-        "--explain",
-        default="auto",
-        choices=["auto", "none"],
-        help="auto explains with the model's family (dCAM/CAM); none classifies only (default: auto)",
-    )
-    parser.add_argument(
-        "--explain-class",
-        type=int,
-        metavar="C",
-        help="pin the explained class (default: each window's predicted class)",
-    )
+    parser.set_defaults(make_config=add_config_flags(parser, StreamConfig(), STREAM_FIELDS))
     parser.add_argument(
         "--input",
         metavar="FILE.npy",
@@ -884,12 +698,14 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _command_stream(args: argparse.Namespace) -> int:
+def _command_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     import numpy as np
 
     from ..serve.store import ModelArtifactStore
-    from ..stream import StreamConfig, StreamSession
+    from ..stream import StreamSession
 
+    if args.chunk < 1:
+        parser.error(f"--chunk must be >= 1, got {args.chunk}")
     store = ModelArtifactStore(args.store)
     names = store.list_names()
     if not names:
@@ -918,15 +734,11 @@ def _command_stream(args: argparse.Namespace) -> int:
     artifact = store.artifact(name)
     model = store.load(name)
     k = args.k if args.k is not None else int(artifact.metadata.get("default_k", 20))
-    config = StreamConfig(
-        hop=args.hop,
-        engine=args.engine,
-        explain=args.explain,
-        k=k,
-        seed=args.seed,
-        explain_class=args.explain_class,
-    )
-    session = StreamSession(model, config, state_hash=artifact.state_hash)
+    try:
+        session = StreamSession(model, args.make_config(args, k=k), state_hash=artifact.state_hash)
+    except ValueError as error:
+        parser.error(str(error))
+    config = session.config
 
     if args.input:
         feed = np.load(args.input)
@@ -1026,7 +838,7 @@ def _add_byte_store_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _command_byte_store_server(args: argparse.Namespace) -> int:
+def _command_byte_store_server(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from ..dist import ByteStoreServer
 
     server = ByteStoreServer(
@@ -1121,16 +933,11 @@ def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _command_worker(args: argparse.Namespace) -> int:
+def _command_worker(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from ..dist.worker import default_worker_id, run_worker
-    from ..obs.tracing import Tracer
-    from ..telemetry import Telemetry
+    from ..obs import Telemetry, Tracer
 
-    cache = (
-        ResultCache(directory=args.cache_dir, remote=_remote_store(args.remote_store))
-        if args.cache_dir or args.remote_store
-        else None
-    )
+    cache = _result_cache(args)
     worker_id = args.worker_id or default_worker_id()
     telemetry = Telemetry()
     tracer = Tracer(sample_rate=0.0, process=f"worker:{worker_id}")
@@ -1183,16 +990,14 @@ def _add_trace_dump_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _command_trace_dump(args: argparse.Namespace) -> int:
-    import json as _json
-
+def _command_trace_dump(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.url:
         from urllib.request import urlopen
 
         url = args.url.rstrip("/") + "/trace"
         try:
             with urlopen(url, timeout=10.0) as response:
-                payload = _json.loads(response.read().decode("utf-8"))
+                payload = json.loads(response.read().decode("utf-8"))
         except (OSError, ValueError) as error:
             print(f"error: could not fetch {url}: {error}", file=sys.stderr)
             return 2
@@ -1209,7 +1014,7 @@ def _command_trace_dump(args: argparse.Namespace) -> int:
         finally:
             client.close()
         spans = header.get("spans", [])
-    lines = "".join(_json.dumps(span, sort_keys=True) + "\n" for span in spans)
+    lines = "".join(json.dumps(span, sort_keys=True) + "\n" for span in spans)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(lines)
@@ -1225,77 +1030,77 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="dCAM reproduction experiment suite (declarative job-graph runtime).",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("list", help="list the runnable experiments")
-    run_parser = subparsers.add_parser(
+
+    def command(name, handler, add_arguments=None, **kwargs):
+        subparser = subparsers.add_parser(name, **kwargs)
+        if add_arguments is not None:
+            add_arguments(subparser)
+        subparser.set_defaults(handler=handler)
+
+    command("list", _command_list, help="list the runnable experiments")
+    command(
         "run",
+        _command_run,
+        _add_run_arguments,
         help="run one experiment",
         description="Run one table/figure driver through the repro.runtime executor.",
     )
-    _add_run_arguments(run_parser)
-    export_parser = subparsers.add_parser(
+    command(
         "export-model",
+        _command_export_model,
+        _add_export_arguments,
         help="train (or load) a model and register it for serving",
         description="Train one classifier on the synthetic benchmark — or load "
         "its state from the runtime result cache — and register it "
         "into a serve model store.",
     )
-    _add_export_arguments(export_parser)
-    serve_parser = subparsers.add_parser(
+    command(
         "serve",
+        _command_serve,
+        _add_serve_arguments,
         help="serve classify/explain requests over HTTP",
         description="Serve the models of an artifact store with dynamic "
         "micro-batching and a content-addressed explanation cache.",
     )
-    _add_serve_arguments(serve_parser)
-    stream_parser = subparsers.add_parser(
+    command(
         "stream",
+        _command_stream,
+        _add_stream_arguments,
         help="replay a feed through a streaming explanation session",
         description="Push a (D, T) feed — synthetic noise or a saved .npy — "
         "through a repro.stream.StreamSession, emitting one "
         "classification + CAM/dCAM heatmap per window hop.",
     )
-    _add_stream_arguments(stream_parser)
-    byte_store_parser = subparsers.add_parser(
+    command(
         "byte-store-server",
+        _command_byte_store_server,
+        _add_byte_store_arguments,
         help="serve the shared remote byte-store tier",
         description="Run the reference remote byte-store server every cache "
         "and artifact store can point at via --remote-store. "
         "Unauthenticated: bind only on trusted networks.",
     )
-    _add_byte_store_arguments(byte_store_parser)
-    worker_parser = subparsers.add_parser(
+    command(
         "worker",
+        _command_worker,
+        _add_worker_arguments,
         help="pull and execute fleet work units",
         description="Run one fleet worker against a `repro run --executor "
         "fleet` coordinator: lease units, dedupe against the "
         "(optionally remote-backed) result cache, execute, report.",
     )
-    _add_worker_arguments(worker_parser)
-    trace_dump_parser = subparsers.add_parser(
+    command(
         "trace-dump",
+        _command_trace_dump,
+        _add_trace_dump_arguments,
         help="export collected trace spans as JSONL",
         description="Fetch the span ring of a serving host (--url, HTTP "
         "/trace) or of a wire-protocol server (--connect, the "
         "trace-dump op) and emit one JSON span per line.",
     )
-    _add_trace_dump_arguments(trace_dump_parser)
 
     args = parser.parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "export-model":
-        return _command_export_model(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "stream":
-        return _command_stream(args)
-    if args.command == "byte-store-server":
-        return _command_byte_store_server(args)
-    if args.command == "worker":
-        return _command_worker(args)
-    if args.command == "trace-dump":
-        return _command_trace_dump(args)
-    return _command_run(args)
+    return args.handler(args, subparsers.choices[args.command])
 
 
 if __name__ == "__main__":  # pragma: no cover

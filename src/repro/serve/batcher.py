@@ -49,8 +49,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
+from ..obs.metrics import Telemetry
 from ..obs.tracing import TraceContext, activate, current, span
-from ..telemetry import Telemetry
 from .policy import BatchPolicy, StaticBatchPolicy
 
 #: Default flush bounds: large enough to fill under concurrent load, small

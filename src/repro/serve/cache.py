@@ -29,9 +29,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..obs.metrics import Telemetry
 from ..obs.tracing import span
 from ..runtime.eviction import TieredByteStore
-from ..telemetry import Telemetry
 
 #: Default in-memory budget: enough for thousands of tiny-scale heatmaps
 #: while bounding a long-lived server.
@@ -137,7 +137,7 @@ class ExplanationCache:
         recently *used* entry files are deleted first (recency is file
         mtime, bumped on every disk hit).
     telemetry:
-        Optional shared :class:`~repro.telemetry.Telemetry` registry; the
+        Optional shared :class:`~repro.obs.Telemetry` registry; the
         cache counts ``cache_hits`` / ``cache_misses`` / ``cache_stores`` /
         ``cache_evictions`` into it (the serve ``/metrics`` endpoint exposes
         them).

@@ -39,7 +39,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
-from ..telemetry import Telemetry
+from ..obs.metrics import Telemetry
 
 
 @dataclass(frozen=True)

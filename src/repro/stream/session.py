@@ -164,7 +164,7 @@ class StreamSession:
         Optional precomputed model-state hash for the cache keys (e.g. the
         artifact store's); derived from the weights when omitted.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` registry; each emission
+        Optional :class:`~repro.obs.Telemetry` registry; each emission
         records its compute latency into the ``stream_hop`` timer/histogram
         (cache hits excluded — they measure the cache, not the engine).
         Omitted: only the session's own ``stats`` counters are kept.

@@ -14,10 +14,7 @@ used by :meth:`repro.models.BaseClassifier.fit`:
   bookkeeping) replicates the legacy loop exactly, so loss curves,
   early-stopping epochs and final weights are float-identical to
   :func:`repro.training.legacy.fit_legacy` — pinned by
-  ``tests/test_training_engine.py``.
-
-``TrainingConfig.engine`` selects the implementation (``"fused"`` default,
-``"legacy"`` for the reference loop).
+  ``tests/test_training_engine.py``, which calls the legacy loop directly.
 """
 
 from ..models.base import TrainingConfig, TrainingHistory

@@ -112,16 +112,6 @@ class TrainingEngine:
 
         self.model = model
         self.config = config or TrainingConfig()
-        if self.config.engine != "fused":
-            # Constructing the fused engine with a config that selects another
-            # implementation would silently run the wrong path — the legacy
-            # cross-check loop lives in repro.training.legacy.fit_legacy (or
-            # go through model.fit, which dispatches on config.engine).
-            raise ValueError(
-                f"TrainingEngine is the 'fused' implementation but config "
-                f"selects engine={self.config.engine!r}; use model.fit(...) "
-                "or repro.training.fit_legacy for the reference loop"
-            )
         self.max_materialize_bytes = max_materialize_bytes
         self.workspace = Workspace()
         #: Fresh batch-slot allocations over the engine's lifetime (one per

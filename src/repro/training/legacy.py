@@ -6,7 +6,8 @@ on every mini-batch, no scratch buffers are reused and every subgraph is the
 composed autograd graph.  It is kept as the numeric reference — the engine
 must match it float for float (``tests/test_training_engine.py``), and
 ``benchmarks/bench_training_engine.py`` measures the engine's speedup against
-it.  Select it per run with ``TrainingConfig(engine="legacy")``.
+it.  It is a reference oracle for tests and benches, not a user-facing mode:
+call :func:`fit_legacy` directly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ def fit_legacy(model, X: np.ndarray, y: np.ndarray,
     from ..models.base import TrainingConfig, TrainingHistory
 
     config = config or TrainingConfig()
+    if config.precision != "float64":
+        raise ValueError("precision='float32' requires the fused engine; "
+                         "the legacy loop is the float64 reference")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 3:

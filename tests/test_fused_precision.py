@@ -42,6 +42,7 @@ from repro.nn.fused import (
     same_max_pool3,
 )
 from repro.nn.layers import BatchNorm1d
+from repro.training import fit_legacy
 
 
 def make_pair(shape, seed, scale=1.0):
@@ -230,9 +231,8 @@ class TestFloat32Tier:
         model = CNNClassifier(tiny_type1_dataset.n_dimensions, tiny_type1_dataset.length,
                               tiny_type1_dataset.n_classes, filters=(4, 8))
         with pytest.raises(ValueError, match="fused"):
-            model.fit(tiny_type1_dataset.X, tiny_type1_dataset.y,
-                      config=TrainingConfig(epochs=1, engine="legacy",
-                                            precision="float32"))
+            fit_legacy(model, tiny_type1_dataset.X, tiny_type1_dataset.y,
+                       config=TrainingConfig(epochs=1, precision="float32"))
 
     def test_float32_fit_runs_in_single_precision(self, tiny_type1_dataset):
         model = CNNClassifier(tiny_type1_dataset.n_dimensions, tiny_type1_dataset.length,

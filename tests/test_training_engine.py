@@ -61,11 +61,13 @@ def fit_both(name, config, validation=True, n=24, **data_kwargs):
     X, y = make_data(n=n, **data_kwargs)
     val = (X[: max(4, n // 4)], y[: max(4, n // 4)]) if validation else None
     results = []
-    for engine in ("legacy", "fused"):
+    for legacy in (True, False):
         model = make_model(name, n_dimensions=data_kwargs.get("n_dimensions", 3),
                            length=data_kwargs.get("length", 16))
-        cfg = TrainingConfig(**{**vars(config), "engine": engine})
-        history = model.fit(X, y, validation_data=val, config=cfg)
+        if legacy:
+            history = fit_legacy(model, X, y, val, config)
+        else:
+            history = model.fit(X, y, validation_data=val, config=config)
         results.append((history, model.state_dict()))
     return results
 
@@ -141,12 +143,6 @@ class TestEngineParity:
     def test_weight_decay(self):
         legacy, fused = fit_both("cnn", TrainingConfig(**BASE, weight_decay=1e-3))
         assert_parity(legacy, fused)
-
-    def test_unknown_engine_rejected(self):
-        X, y = make_data()
-        model = make_model("cnn")
-        with pytest.raises(ValueError, match="unknown training engine"):
-            model.fit(X, y, config=TrainingConfig(**BASE, engine="turbo"))
 
     def test_shape_validation(self):
         model = make_model("cnn")
