@@ -13,7 +13,6 @@ from .dcam import (
     DCAMResult,
     compute_dcam,
     compute_dcam_batch,
-    explanation_quality_proxy,
     extract_dcam,
     merge_permutation_cams,
     permutation_rows,
@@ -51,7 +50,6 @@ __all__ = [
     "merge_permutation_cams",
     "permutation_rows",
     "extract_dcam",
-    "explanation_quality_proxy",
     "max_activation_per_dimension",
     "mean_activation_per_dimension",
     "activation_per_segment",

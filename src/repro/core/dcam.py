@@ -13,25 +13,32 @@ Given a trained d-architecture (dCNN / dResNet / dInceptionTime), dCAM
    subsequences, while the average filters out irrelevant temporal windows.
 
 The number ``n_g`` of permutations that the model classifies correctly is also
-recorded; ``n_g / k`` is the paper's label-free proxy for explanation quality
-(Sections 4.6 and 5.6).
+recorded; ``n_g / k`` (:attr:`DCAMResult.success_ratio`) is the paper's
+label-free proxy for explanation quality (Sections 4.6 and 5.6).
 
 Execution strategy
 ------------------
-Explanation only needs activations, never gradients, so the hot path runs the
-``k`` permuted cubes through the model in micro-batches under
-:func:`repro.nn.inference_mode`: no autograd graph is recorded, the im2col
-buffers of the convolutions are released immediately, and the per-permutation
-``M`` transformations are materialised by one fancy-indexed gather over the
-stacked ``(k, D, n)`` CAM array instead of a Python loop of ``(D, D, n)``
-temporaries.  :func:`_permutation_cam` retains the legacy one-permutation
-graph-recording path as a numerical reference for tests and benchmarks.
+One generator, :func:`_dcam_results`, is the only execution path:
+:func:`compute_dcam` takes its single result, :func:`compute_dcam_batch` all of
+them, and :class:`repro.explain.DCAMExplainer` feeds it its byte cache so each
+permutation's CAM rows are stored under a :func:`permutation_cache_keys` key
+and only unseen permutations are forwarded.  Explanation only needs
+activations, never gradients, so the permuted cubes of a group of instances run
+through the model in micro-batches under :func:`repro.nn.inference_mode`: no
+autograd graph is recorded, the im2col buffers of the convolutions are
+released immediately, and the per-permutation ``M`` transformations are
+materialised by one fancy-indexed gather over the stacked ``(k, D, n)`` CAM
+array instead of a Python loop of ``(D, D, n)`` temporaries.
+:func:`_permutation_cam` retains the legacy one-permutation graph-recording
+path as a numerical reference for tests and benchmarks.
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +52,7 @@ __all__ = [
     "merge_permutation_cams",
     "permutation_rows",
     "extract_dcam",
-    "explanation_quality_proxy",
+    "permutation_cache_keys",
 ]
 
 #: Default number of permuted cubes per forward pass.  Bounds the peak im2col
@@ -57,9 +64,9 @@ DEFAULT_BATCH_SIZE = 32
 #: above it the gather falls back to chunking over permutations.
 _MERGE_SCRATCH_BYTES = 128 * 1024 * 1024
 
-#: Soft cap on the permuted-series + CAM arrays materialised at once by
-#: :func:`compute_dcam_batch`; above it instances are processed in groups
-#: (micro-batching still crosses instance boundaries within a group).
+#: Soft cap on the permuted-series + CAM arrays materialised at once by the
+#: dCAM pipeline (the only memory cap on it); above it instances are processed
+#: in groups (micro-batching still crosses instance boundaries within a group).
 #: Tuned at paper scale (D=40, n=100, k=100, ~6.4 MB/instance): throughput
 #: plateaus once a group holds ~20 instances, so 128 MB matches the 256 MB
 #: setting's speed at half the peak transient footprint (sweep recorded in
@@ -328,6 +335,113 @@ def _assemble_result(cams: np.ndarray, orders: np.ndarray, predicted: np.ndarray
     )
 
 
+def permutation_cache_keys(model_hash: str, series: np.ndarray, class_id: int,
+                           orders: np.ndarray) -> List[str]:
+    """Content keys of one (instance, class)'s permutation CAM rows, one per order.
+
+    Each key folds in the model-state hash, the instance bytes, the class and
+    the permutation, so an entry can only ever replay the exact forward pass
+    that produced it.  The instance bytes dominate the key material, so they
+    are hashed once and each (tiny) permutation is folded into a copy.
+    """
+    digest = hashlib.sha256()
+    digest.update(b"dcam-permutation-cam\x00")
+    digest.update(model_hash.encode("ascii"))
+    digest.update(b"\x00")
+    series = np.ascontiguousarray(series, dtype=np.float64)
+    digest.update(str(series.shape).encode("ascii"))
+    digest.update(series.tobytes())
+    digest.update(f"\x00{int(class_id)}\x00".encode("ascii"))
+    keys = []
+    for order in orders:
+        key = digest.copy()
+        key.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
+        keys.append(key.hexdigest())
+    return keys
+
+
+def _dcam_results(model: "ConvBackboneClassifier", X: np.ndarray, class_ids: Sequence[int],
+                  k: int, rng: Optional[np.random.Generator],
+                  permutations: Optional[Sequence[Sequence[np.ndarray]]],
+                  use_only_correct: bool, batch_size: int,
+                  store=None, model_hash: Optional[str] = None) -> Iterator[DCAMResult]:
+    """The dCAM pipeline: yield one :class:`DCAMResult` per instance of ``X``.
+
+    Each instance's permutations are taken as given or drawn from ``rng``
+    instance by instance.  Instances are processed in groups whose permuted
+    series and CAM stacks stay under ``_BATCH_MATERIALIZE_BYTES``; a group's
+    permutations are forwarded instance-major in one
+    :func:`_permutation_cams_batched` call, so micro-batches cross instance
+    boundaries.  With a byte ``store`` (``get``/``put``), each permutation's
+    ``(cam_rows, predicted)`` is looked up under its
+    :func:`permutation_cache_keys` key first and only the missing ones are
+    forwarded (and stored); a cold store forwards exactly what no store does.
+    """
+    X = np.asarray(X, dtype=getattr(model, "compute_dtype", np.float64))
+    if len(X) != len(class_ids):
+        raise ValueError("X and class_ids must have the same length")
+    if X.ndim != 3:
+        raise ValueError(f"X must be (instances, D, n), got shape {X.shape}")
+    _require_d_architecture(model)
+    n_instances, n_dimensions, length = X.shape
+    model.eval()
+
+    if permutations is None:
+        rng = rng or np.random.default_rng()
+        permutations = [random_permutations(n_dimensions, k, rng) for _ in range(n_instances)]
+    elif len(permutations) != n_instances:
+        raise ValueError(
+            f"permutations must supply one sequence per instance "
+            f"({n_instances}), got {len(permutations)}"
+        )
+    per_instance_orders = [_stack_orders(orders, n_dimensions) for orders in permutations]
+    class_ids = [int(c) for c in class_ids]
+    counts = [len(orders) for orders in per_instance_orders]
+
+    # Permuted series + CAM stacks cost ~2 * k_i * D * n * 8 bytes per instance.
+    bytes_per_instance = 2 * max(counts, default=0) * n_dimensions * length * 8
+    group = max(1, _BATCH_MATERIALIZE_BYTES // max(1, bytes_per_instance))
+    for first in range(0, n_instances, group):
+        last = min(first + group, n_instances)
+        orders_flat = np.concatenate(per_instance_orders[first:last], axis=0)
+        instance_flat = np.repeat(np.arange(first, last), counts[first:last])
+        class_flat = np.repeat(class_ids[first:last], counts[first:last])
+        missing = np.arange(len(orders_flat))
+        if store is not None:
+            keys = [key for index in range(first, last)
+                    for key in permutation_cache_keys(model_hash, X[index], class_ids[index],
+                                                      per_instance_orders[index])]
+            cams = np.empty((len(keys), n_dimensions, length))
+            predicted = np.empty(len(keys), dtype=np.int64)
+            hit = np.zeros(len(keys), dtype=bool)
+            for flat, key in enumerate(keys):
+                blob = store.get(key)
+                if blob is not None:
+                    cams[flat], predicted[flat] = pickle.loads(blob)
+                    hit[flat] = True
+            missing = np.flatnonzero(~hit)
+        if len(missing):
+            computed_cams, computed_predicted = _permutation_cams_batched(
+                model, X[instance_flat[missing, None], orders_flat[missing]],
+                model.class_weights[class_flat[missing]], batch_size,
+            )
+            if len(missing) == len(orders_flat):
+                cams, predicted = computed_cams, computed_predicted
+            else:
+                cams[missing], predicted[missing] = computed_cams, computed_predicted
+            if store is not None:
+                for row, flat in enumerate(missing):
+                    store.put(keys[flat], pickle.dumps(
+                        (computed_cams[row], int(computed_predicted[row])),
+                        protocol=pickle.HIGHEST_PROTOCOL))
+        start = 0
+        for index in range(first, last):
+            stop = start + counts[index]
+            yield _assemble_result(cams[start:stop], per_instance_orders[index],
+                                   predicted[start:stop], class_ids[index], use_only_correct)
+            start = stop
+
+
 def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: int,
                  k: int = 100, rng: Optional[np.random.Generator] = None,
                  permutations: Optional[Sequence[np.ndarray]] = None,
@@ -368,25 +482,12 @@ def compute_dcam(model: "ConvBackboneClassifier", series: np.ndarray, class_id: 
         per-permutation path) to within a few ulps of floating-point
         round-off — well under 1e-10 — not necessarily bit-for-bit.
     """
-    _require_d_architecture(model)
-    series = np.asarray(series, dtype=np.float64)
+    series = np.asarray(series)
     if series.ndim != 2:
         raise ValueError(f"series must be (D, n), got shape {series.shape}")
-    n_dimensions = series.shape[0]
-    model.eval()
-    if permutations is None:
-        permutations = random_permutations(n_dimensions, k, rng)
-    orders = _stack_orders(permutations, n_dimensions)
-    k = len(orders)
-
-    # Pre-permuting the series is equivalent to passing `order` to
-    # `prepare_input` (the cube build permutes dimensions first), and lets all
-    # k permutations share one stacked array.
-    permuted = series[orders]  # (k, D, n)
-    weights = model.class_weights[class_id]
-    class_weights = np.broadcast_to(weights, (k, weights.shape[0]))
-    cams, predicted = _permutation_cams_batched(model, permuted, class_weights, batch_size)
-    return _assemble_result(cams, orders, predicted, class_id, use_only_correct)
+    return next(_dcam_results(model, series[None], [class_id], k, rng,
+                              None if permutations is None else [permutations],
+                              use_only_correct, batch_size))
 
 
 def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
@@ -410,62 +511,5 @@ def compute_dcam_batch(model: "ConvBackboneClassifier", X: np.ndarray,
     ``compute_dcam(model, X[i], class_ids[i], permutations=permutations[i])``.
     Instances may bring different permutation counts.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if len(X) != len(class_ids):
-        raise ValueError("X and class_ids must have the same length")
-    if X.ndim != 3:
-        raise ValueError(f"X must be (instances, D, n), got shape {X.shape}")
-    _require_d_architecture(model)
-    n_instances, n_dimensions, length = X.shape
-    model.eval()
-
-    if permutations is None:
-        # Draw each instance's permutations in sequence (matching the legacy
-        # one-instance-at-a-time behaviour for a given generator state).
-        rng = rng or np.random.default_rng()
-        per_instance_orders = [
-            _stack_orders(random_permutations(n_dimensions, k, rng), n_dimensions)
-            for _ in range(n_instances)
-        ]
-    else:
-        if len(permutations) != n_instances:
-            raise ValueError(
-                f"permutations must supply one sequence per instance "
-                f"({n_instances}), got {len(permutations)}"
-            )
-        per_instance_orders = [
-            _stack_orders(orders, n_dimensions) for orders in permutations
-        ]
-    class_ids = [int(c) for c in class_ids]
-    counts = [len(orders) for orders in per_instance_orders]
-
-    # Permuted series + CAM stacks cost ~2 * k_i * D * n * 8 bytes per instance.
-    max_count = max(counts) if counts else 0
-    bytes_per_instance = 2 * max_count * n_dimensions * length * 8
-    group = max(1, _BATCH_MATERIALIZE_BYTES // max(1, bytes_per_instance))
-
-    results: List[DCAMResult] = []
-    for first in range(0, n_instances, group):
-        last = min(first + group, n_instances)
-        orders_flat = np.concatenate(per_instance_orders[first:last], axis=0)
-        instance_flat = np.repeat(np.arange(first, last), counts[first:last])
-        permuted_flat = X[instance_flat[:, None], orders_flat]  # (sum k_i, D, n)
-        weights_flat = model.class_weights[np.repeat(class_ids[first:last], counts[first:last])]
-        cams_flat, predicted_flat = _permutation_cams_batched(
-            model, permuted_flat, weights_flat, batch_size
-        )
-        start = 0
-        for index in range(first, last):
-            stop = start + counts[index]
-            results.append(
-                _assemble_result(cams_flat[start:stop], per_instance_orders[index],
-                                 predicted_flat[start:stop], class_ids[index],
-                                 use_only_correct)
-            )
-            start = stop
-    return results
-
-
-def explanation_quality_proxy(result: DCAMResult) -> float:
-    """``n_g / k`` — usable without labels to estimate explanation quality."""
-    return result.success_ratio
+    return list(_dcam_results(model, X, class_ids, k, rng, permutations,
+                              use_only_correct, batch_size))

@@ -11,8 +11,6 @@ from .metrics import (
 from .protocol import (
     EvaluationResult,
     evaluate_classification,
-    evaluate_explanation,
-    explanation_for,
     fit_on_dataset,
     repeated_runs,
 )
@@ -33,7 +31,5 @@ __all__ = [
     "EvaluationResult",
     "fit_on_dataset",
     "evaluate_classification",
-    "evaluate_explanation",
-    "explanation_for",
     "repeated_runs",
 ]

@@ -2,8 +2,8 @@
 
 Encapsulates the paper's protocol (Section 5.2): stratified 80/20
 train/validation split, training with Adam + early stopping, C-acc on a held
-out test set, Dr-acc via the appropriate explanation method of each
-architecture family, averaged over several runs.
+out test set, averaged over several runs.  Dr-acc over the explainable test
+instances is :func:`repro.explain.evaluate_explainer`.
 """
 
 from __future__ import annotations
@@ -13,16 +13,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.dcam import DEFAULT_BATCH_SIZE
 from ..data.datasets import MultivariateDataset
 from ..data.splits import train_validation_split
 from ..models.base import BaseClassifier, TrainingConfig
 from ..models.registry import create_model
-
-# NOTE: the explanation wrappers below import from ``repro.explain`` lazily so
-# that the eval layer has no load-time dependency on it (repro.explain imports
-# ``repro.eval.dr_acc``; a module-level import here would close a cycle that
-# only resolves for one package import order).
 
 
 @dataclass
@@ -70,48 +64,6 @@ def evaluate_classification(model_name: str, dataset: MultivariateDataset,
         train_seconds=float(history.prepare_seconds + np.sum(history.epoch_seconds)),
     )
     return model, result
-
-
-def explanation_for(model: BaseClassifier, model_name: str, series: np.ndarray,
-                    class_id: int, k: int = 20,
-                    rng: Optional[np.random.Generator] = None,
-                    batch_size: int = DEFAULT_BATCH_SIZE) -> Tuple[np.ndarray, Optional[float]]:
-    """Explain one series via the model family's registered explainer.
-
-    Dispatch is driven by the ``explainer_family`` attribute of the model
-    class (see :mod:`repro.explain.registry`); ``model_name`` is kept for
-    call-site compatibility but no longer consulted.  Returns the ``(D, n)``
-    explanation heatmap and, for the dCAM family, the ``n_g / k`` success
-    ratio (None otherwise).  ``batch_size`` is the micro-batch knob of the
-    family's batch engine; it trades speed against peak memory, affecting
-    results only at float round-off level.
-    """
-    from ..explain.registry import get_explainer
-
-    explainer = get_explainer(model, k=k, batch_size=batch_size, rng=rng)
-    explanation = explainer.explain(series, class_id)
-    return explanation.heatmap, explanation.success_ratio
-
-
-def evaluate_explanation(model: BaseClassifier, model_name: str,
-                         test: MultivariateDataset, target_class: int = 1,
-                         n_instances: int = 10, k: int = 20,
-                         random_state: Optional[int] = None,
-                         batch_size: int = DEFAULT_BATCH_SIZE) -> Tuple[float, Optional[float]]:
-    """Average Dr-acc of a trained model over instances of ``target_class``.
-
-    Only instances whose ground-truth mask is non-empty are considered (the
-    class with injected discriminant features).  Thin wrapper over
-    :func:`repro.explain.evaluate_explainer`, kept for the legacy
-    ``(dr_acc, success_ratio)`` return shape; ``model_name`` is no longer
-    consulted (dispatch uses the model's ``explainer_family``).
-    """
-    from ..explain.evaluation import evaluate_explainer
-
-    report = evaluate_explainer(model, test, target_class=target_class,
-                                n_instances=n_instances, k=k,
-                                batch_size=batch_size, random_state=random_state)
-    return report.as_tuple()
 
 
 def repeated_runs(model_name: str, dataset: MultivariateDataset, test: MultivariateDataset,

@@ -10,7 +10,7 @@ from ..data.datasets import MultivariateDataset
 from ..data.synthetic import SyntheticConfig, make_dataset
 from ..eval.dr_acc import random_baseline_dr_acc
 from ..eval.protocol import fit_on_dataset
-from ..explain.evaluation import evaluate_explainer, select_explainable_instances
+from ..explain.evaluation import select_explainable_instances
 from ..models.base import BaseClassifier, TrainingHistory
 from ..models.registry import create_model
 from .config import ExperimentScale
@@ -29,23 +29,6 @@ def train_model(model_name: str, dataset: MultivariateDataset, scale: Experiment
 def classification_accuracy_of(model: BaseClassifier, test: MultivariateDataset) -> float:
     """C-acc of a trained model on a held-out dataset."""
     return model.score(test.X, test.y)
-
-
-def explanation_accuracy_of(model: BaseClassifier, model_name: str,
-                            test: MultivariateDataset, scale: ExperimentScale,
-                            target_class: int = 1,
-                            random_state: Optional[int] = None
-                            ) -> Tuple[float, Optional[float]]:
-    """Average Dr-acc (and n_g/k for the dCAM family) on explained instances.
-
-    Thin wrapper over :func:`repro.explain.evaluate_explainer` with the
-    scale's knobs, kept for the legacy ``(dr_acc, success_ratio)`` return
-    shape; ``model_name`` is no longer consulted (dispatch uses the model's
-    ``explainer_family``).
-    """
-    report = evaluate_explainer(model, test, scale, target_class=target_class,
-                                random_state=random_state)
-    return report.as_tuple()
 
 
 def random_explanation_accuracy(test: MultivariateDataset, scale: ExperimentScale,

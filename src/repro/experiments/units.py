@@ -41,7 +41,6 @@ from ..runtime.spec import scale_fingerprint_payload
 from .ablation import EXTRACTION_VARIANTS, extract_variant
 from .runner import (
     classification_accuracy_of,
-    explanation_accuracy_of,
     random_explanation_accuracy,
     synthetic_train_test,
     train_model,
@@ -103,10 +102,9 @@ def synthetic_cell(scale, *, seed_name: str, dataset_type: int, n_dimensions: in
                                   config_seed)
     model, _ = train_model(model_name, train, scale, random_state=run_seed)
     c_acc = classification_accuracy_of(model, test)
-    dr_score, success_ratio = explanation_accuracy_of(
-        model, model_name, test, scale, target_class=target_class,
-        random_state=run_seed)
-    return {"c_acc": c_acc, "dr_acc": dr_score, "success_ratio": success_ratio}
+    report = evaluate_explainer(model, test, scale, target_class=target_class,
+                                random_state=run_seed)
+    return {"c_acc": c_acc, "dr_acc": report.dr_acc, "success_ratio": report.success_ratio}
 
 
 @register_work("synthetic_random_baseline")

@@ -1,12 +1,13 @@
 """CAM explainer: the GAP + dense architectures (plain and c-variants).
 
-The per-instance path reuses :func:`repro.core.cam.class_activation_map`
-verbatim.  The batch engine runs whole micro-batches through one
-``features()`` forward under :func:`repro.nn.inference_mode` and contracts the
-filter axis of every instance against its class's dense-layer weight row in a
-single ``einsum`` — the same strategy the dCAM pipeline uses for permuted
-cubes, applied across instances.  Both paths agree to float round-off
-(≤ 1e-10).
+Both entry points run one engine: whole micro-batches go through one
+``features()`` forward under :func:`repro.nn.inference_mode` and the filter
+axis of every instance is contracted against its class's dense-layer weight
+row in a single ``einsum`` — the same strategy the dCAM pipeline uses for
+permuted cubes, applied across instances.  :meth:`CAMExplainer.explain` is
+the batch engine at width 1.  :func:`repro.core.cam.class_activation_map`
+remains the per-instance recorded-graph reference; the engine agrees with it
+to float round-off (≤ 1e-10, pinned by tests).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..core.cam import _check_model, cam_as_multivariate, class_activation_map
+from ..core.cam import _check_model, cam_as_multivariate
 from ..nn import inference_mode
 from .base import Explainer, Explanation
 from .registry import register_explainer
@@ -41,9 +42,7 @@ class CAMExplainer(Explainer):
 
     def explain(self, series: np.ndarray, class_id: int) -> Explanation:
         series = self._check_series(series)
-        cam = class_activation_map(self.model, series, int(class_id))
-        return Explanation(heatmap=self._as_heatmap(cam, series.shape[0]),
-                           class_id=int(class_id))
+        return self.explain_batch(series[None], [int(class_id)])[0]
 
     def explain_batch(self, X: np.ndarray,
                       class_ids: Sequence[int]) -> List[Explanation]:

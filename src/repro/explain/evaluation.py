@@ -64,10 +64,6 @@ class ExplanationReport:
         """Mean ``n_g / k`` (``None`` for families without the proxy)."""
         return float(np.mean(self.success_ratios)) if self.success_ratios else None
 
-    def as_tuple(self):
-        """The legacy ``(dr_acc, success_ratio)`` pair of the old helpers."""
-        return self.dr_acc, self.success_ratio
-
 
 def select_explainable_instances(dataset, target_class: int = 1,
                                  n_instances: Optional[int] = None) -> List[int]:
@@ -96,7 +92,6 @@ def evaluate_explainer(model, test, scale=None, *, target_class: int = 1,
                        batch_size: Optional[int] = None,
                        rng: Optional[np.random.Generator] = None,
                        random_state: Optional[int] = None,
-                       batched: bool = True,
                        cache=None) -> ExplanationReport:
     """Average Dr-acc of ``model`` over explainable instances of ``test``.
 
@@ -114,10 +109,6 @@ def evaluate_explainer(model, test, scale=None, *, target_class: int = 1,
     rng, random_state:
         Permutation-draw generator for the dCAM family: ``rng`` is used
         as-is, otherwise one is seeded from ``random_state``.
-    batched:
-        If True (default) the instances go through the explainer's batch
-        engine; otherwise they are explained one at a time.  Both paths agree
-        to float round-off (≤ 1e-10).
     cache:
         Optional content-addressed byte store forwarded to the explainer (see
         :class:`repro.explain.base.Explainer`); the dCAM family reuses cached
@@ -140,11 +131,7 @@ def evaluate_explainer(model, test, scale=None, *, target_class: int = 1,
     # instance's at once.
     explainer = get_explainer(model, k=k, batch_size=batch_size, rng=rng,
                               keep_details=False, cache=cache)
-    if batched:
-        explanations = explainer.explain_batch(test.X[indices], class_ids)
-    else:
-        explanations = [explainer.explain(test.X[index], class_id)
-                        for index, class_id in zip(indices, class_ids)]
+    explanations = explainer.explain_batch(test.X[indices], class_ids)
 
     report = ExplanationReport(family=explainer.family, target_class=target_class,
                                instance_indices=list(indices))

@@ -11,7 +11,7 @@ CAMs shared across requests with different ``k``.  Both are served from one
   determines the bytes of a response);
 * **permutation level** — the dCAM family's per-permutation CAM rows via the
   :class:`~repro.explain.base.Explainer` cache hook (see
-  :func:`repro.explain.dcam.permutation_cache_key`), which also closes the
+  :func:`repro.core.dcam.permutation_cache_keys`), which also closes the
   ROADMAP "explanation caching below the unit level" item for Figure 10.
 
 Entries are raw bytes, so warm hits are byte-identical to the stored cold

@@ -7,7 +7,6 @@ from repro.core import (
     DCAMResult,
     compute_dcam,
     compute_dcam_batch,
-    explanation_quality_proxy,
     extract_dcam,
     merge_permutation_cams,
 )
@@ -93,7 +92,6 @@ class TestComputeDCAM:
         assert result.k == 6
         assert 0 <= result.n_correct <= 6
         assert 0.0 <= result.success_ratio <= 1.0
-        assert explanation_quality_proxy(result) == result.success_ratio
         assert result.n_dimensions == tiny_type1_dataset.n_dimensions
         assert result.length == tiny_type1_dataset.length
 

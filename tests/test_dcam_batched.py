@@ -10,9 +10,13 @@ from repro.core.dcam import (
     compute_dcam_batch,
     extract_dcam,
     merge_permutation_cams,
+    permutation_cache_keys,
 )
 from repro.core.input_transform import random_permutations
+from repro.explain import get_explainer
+from repro.models import create_model
 from repro.nn import is_grad_enabled
+from repro.serve.cache import ExplanationCache
 
 ATOL = 1e-10
 
@@ -151,3 +155,54 @@ class TestMergeValidation:
         )
         np.testing.assert_allclose(merge_permutation_cams(pairs), expected,
                                    rtol=0, atol=ATOL)
+
+
+SMALL_D_MODELS = {
+    "dcnn": {"filters": (4, 4)},
+    "dresnet": {"filters": (4, 4), "kernel_sizes": (3, 3)},
+    "dinceptiontime": {"depth": 2, "n_filters": 2, "kernel_size": 5},
+}
+
+
+class TestOnePipeline:
+    """Every dCAM entry point runs one pipeline, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("name, dtype", [
+        ("dcnn", np.float64), ("dresnet", np.float64),
+        ("dinceptiontime", np.float64), ("dcnn", np.float32),
+    ])
+    def test_entry_points_and_cache_states_are_bitwise_equal(self, name, dtype):
+        model = create_model(name, 4, 16, 3, rng=np.random.default_rng(0),
+                             **SMALL_D_MODELS[name]).astype(dtype)
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((3, 4, 16))
+        class_ids = [0, 2, 1]
+        permutations = [random_permutations(4, k, rng) for k in (3, 7, 5)]
+        reference = [
+            compute_dcam(model, X[index], class_ids[index],
+                         permutations=permutations[index], batch_size=4)
+            for index in range(3)
+        ]
+        runs = {"compute_dcam_batch": compute_dcam_batch(
+            model, X, class_ids, permutations=permutations, batch_size=4)}
+        cache = ExplanationCache(max_memory_bytes=None)
+        stores = {}
+        for label, store in (("no cache", None), ("cold", cache), ("warm", cache)):
+            explainer = get_explainer(model, batch_size=4, cache=store)
+            explanations = explainer.explain_batch(X, class_ids, permutations=permutations)
+            runs[label] = [explanation.details for explanation in explanations]
+            stores[label] = cache.telemetry.snapshot().get("cache_stores", 0)
+        assert stores["cold"] == 3 + 7 + 5
+        assert stores["warm"] == stores["cold"], "a warm pass must not put"
+        for label, results in runs.items():
+            for expected, result in zip(reference, results):
+                assert np.array_equal(result.dcam, expected.dcam), label
+                assert np.array_equal(result.m_bar, expected.m_bar), label
+                assert result.n_correct == expected.n_correct, label
+
+    def test_permutation_cache_key_bytes_are_pinned(self):
+        # Persisted disk and remote entries are addressed by these bytes; a
+        # format drift would silently turn every stored permutation cold.
+        series = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
+        [key] = permutation_cache_keys("model-state", series, 1, [np.array([2, 0, 1])])
+        assert key == "4fac4773ca672b960e4b54d0a922d6dce9477185adcc5e8eaa2eca370c6921ee"

@@ -14,12 +14,11 @@ from repro.eval import (
     classification_accuracy,
     dr_acc,
     evaluate_classification,
-    evaluate_explanation,
-    explanation_for,
     fit_on_dataset,
     random_baseline_dr_acc,
     repeated_runs,
 )
+from repro.explain import evaluate_explainer, get_explainer
 from repro.models import DCNNClassifier, TrainingConfig, create_model
 
 
@@ -57,29 +56,25 @@ class TestProtocolHelpers:
                                       trained_mtex, tiny_type1_dataset):
         series = tiny_type1_dataset.X[-1]
         shape = (tiny_type1_dataset.n_dimensions, tiny_type1_dataset.length)
-        dcam_map, ratio = explanation_for(trained_dcnn, "dcnn", series, 1, k=4,
-                                          rng=np.random.default_rng(0))
-        assert dcam_map.shape == shape and ratio is not None
-        cam_map, ratio = explanation_for(trained_cnn, "cnn", series, 1)
-        assert cam_map.shape == shape and ratio is None
-        ccam_map, _ = explanation_for(trained_ccnn, "ccnn", series, 1)
-        assert ccam_map.shape == shape
-        mtex_map, _ = explanation_for(trained_mtex, "mtex", series, 1)
-        assert mtex_map.shape == shape
+        dcam = get_explainer(trained_dcnn, k=4, rng=np.random.default_rng(0)).explain(series, 1)
+        assert dcam.heatmap.shape == shape and dcam.success_ratio is not None
+        cam = get_explainer(trained_cnn).explain(series, 1)
+        assert cam.heatmap.shape == shape and cam.success_ratio is None
+        assert get_explainer(trained_ccnn).explain(series, 1).heatmap.shape == shape
+        assert get_explainer(trained_mtex).explain(series, 1).heatmap.shape == shape
 
     def test_evaluate_explanation(self, trained_dcnn, tiny_type1_dataset):
-        score, ratio = evaluate_explanation(trained_dcnn, "dcnn", tiny_type1_dataset,
-                                            target_class=1, n_instances=2, k=4,
-                                            random_state=0)
-        assert 0.0 <= score <= 1.0
-        assert 0.0 <= ratio <= 1.0
+        report = evaluate_explainer(trained_dcnn, tiny_type1_dataset, target_class=1,
+                                    n_instances=2, k=4, random_state=0)
+        assert 0.0 <= report.dr_acc <= 1.0
+        assert 0.0 <= report.success_ratio <= 1.0
 
     def test_evaluate_explanation_requires_ground_truth(self, trained_dcnn,
                                                         tiny_type1_dataset):
         stripped = tiny_type1_dataset.subset(range(len(tiny_type1_dataset)))
         stripped.ground_truth = None
         with pytest.raises(ValueError):
-            evaluate_explanation(trained_dcnn, "dcnn", stripped)
+            evaluate_explainer(trained_dcnn, stripped)
 
 
 class TestEndToEnd:

@@ -503,16 +503,16 @@ class TestPermutationCache:
         assert snapshot["cache_stores"] < 3 * (1 + 2 + 4 + 8)
 
     def test_cache_keys_depend_on_model_state(self, trained_dcnn):
-        from repro.explain.dcam import permutation_cache_key
+        from repro.core.dcam import permutation_cache_keys
 
         series = np.zeros((4, 8))
         order = np.arange(4)
-        key_one = permutation_cache_key("hash-one", series, 1, order)
-        key_two = permutation_cache_key("hash-two", series, 1, order)
+        [key_one] = permutation_cache_keys("hash-one", series, 1, [order])
+        [key_two] = permutation_cache_keys("hash-two", series, 1, [order])
         assert key_one != key_two
-        assert key_one != permutation_cache_key("hash-one", series, 0, order)
-        assert key_one != permutation_cache_key("hash-one", series, 1,
-                                                np.array([1, 0, 2, 3]))
+        assert [key_one] != permutation_cache_keys("hash-one", series, 0, [order])
+        assert [key_one] != permutation_cache_keys("hash-one", series, 1,
+                                                   [np.array([1, 0, 2, 3])])
 
 
 # ---------------------------------------------------------------------------
